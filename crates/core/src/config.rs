@@ -18,8 +18,10 @@ pub enum PivotStrategy {
     MaxDegreeProduct,
 }
 
-/// What a checked driver does when a worker panic is caught (the
-/// `*_scc_checked` entry points; legacy `*_scc` functions re-panic).
+/// What a pipeline run does when a worker panic is caught
+/// ([`crate::run_checked`] / [`crate::run_pipeline`] surface
+/// [`PanicPolicy::Fail`] as a typed error; [`crate::detect_scc`]
+/// re-panics).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PanicPolicy {
     /// Recover: retry a task that died at the work-queue boundary once,

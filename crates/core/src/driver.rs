@@ -1,6 +1,6 @@
-//! Shared machinery of the checked (`*_scc_checked`) driver entry points:
-//! interrupt checks at phase boundaries, panic capture around the
-//! data-parallel phases, and the work-queue retry/degrade/restart policy.
+//! Fault-handling machinery of the [`crate::pipeline`] engine: interrupt
+//! checks at stage boundaries, panic capture around the data-parallel
+//! stages, and the work-queue retry/degrade/restart policy.
 //!
 //! # Recovery soundness
 //!
@@ -25,7 +25,7 @@
 //! [`SccError::WorkerPanic`] (`Fail`).
 
 use crate::config::{PanicPolicy, SccConfig};
-use crate::error::{RunGuard, SccError};
+use crate::error::SccError;
 use crate::fwbw::recursive::{process_task, RecurContext, Task};
 use crate::instrument::{Collector, RecoveryEvent, RunReport};
 use crate::result::SccResult;
@@ -34,7 +34,7 @@ use crate::tarjan::tarjan_scc;
 use swscc_graph::GraphView;
 use swscc_parallel::{AbortCause, QueueStats, TwoLevelQueue};
 
-/// How a checked driver's internal step failed.
+/// How the work-queue stage failed.
 pub(crate) enum DriverError {
     /// A clean typed failure to propagate to the caller.
     Fatal(SccError),
@@ -51,16 +51,6 @@ pub(crate) struct QueueResolution {
     /// Nodes resolved during the queue phase, including a sequential
     /// residue finish if retries were exhausted.
     pub resolved: usize,
-}
-
-/// Polls the guard's token once — used before entering an algorithm that
-/// cannot be interrupted mid-run (the sequential oracles).
-pub(crate) fn check_guard(guard: &RunGuard) -> Result<(), SccError> {
-    let interrupt = guard.interrupt();
-    match interrupt.poll() {
-        None => Ok(()),
-        Some(reason) => Err(SccError::from_interrupt(reason, interrupt)),
-    }
 }
 
 /// Polls the run's token at a phase boundary; converts a pending abort

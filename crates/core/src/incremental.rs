@@ -331,7 +331,7 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         self.poisoned = true;
         let (result, _report) = run_pipeline(&self.graph, &self.pipeline, &self.cfg, guard)?;
         guard.check()?;
-        let ranks = topo_ranks(&result.condensation_view(&self.graph));
+        let ranks = topo_ranks(&result.condensation(&self.graph));
         self.labels = result.assignment().to_vec();
         self.next_label = result.num_components() as u32;
         self.comps.clear();
@@ -518,7 +518,7 @@ impl<G: CompactBackend> IncrementalEngine<G> {
         // position interval around the old component's position — every
         // constraint against outside components held at the old position
         // and keeps holding anywhere strictly inside its gap.
-        let ranks = topo_ranks(&sub.condensation_view(&residue));
+        let ranks = topo_ranks(&sub.condensation(&residue));
         let (lo, hi) = self.gap_for(c, parts as u64);
         let step = (hi - lo) / (parts as u64 + 1);
         let meta = self.comps.remove(&c).expect("dirty component is live");

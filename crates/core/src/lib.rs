@@ -7,25 +7,29 @@
 //!
 //! ## Algorithms
 //!
-//! | API | Paper | Strategy |
+//! [`Algorithm`] names nine runs: three sequential oracles and six
+//! parallel algorithms, each of which is a stock stage list
+//! ([`Pipeline::stock`]) executed by the [`pipeline`] engine.
+//!
+//! | [`Algorithm`] | Paper | Runs as |
 //! |---|---|---|
-//! | [`tarjan::tarjan_scc`] | speedup baseline | sequential, iterative Tarjan |
-//! | [`kosaraju::kosaraju_scc`] | (test oracle) | sequential two-pass |
-//! | [`pearce::pearce_scc`] | (test oracle) | sequential, one-array Pearce |
-//! | [`baseline::baseline_scc`] | Alg. 3 | Par-Trim + recursive FW-BW work queue |
-//! | [`method1::method1_scc`] | Alg. 6 | + data-parallel giant-SCC peel (Par-FWBW) |
-//! | [`method2::method2_scc`] | Alg. 9 | + Par-Trim2 + Par-WCC re-partitioning |
+//! | `Tarjan` | speedup baseline | [`tarjan::tarjan_scc`], sequential |
+//! | `Kosaraju` | (test oracle) | [`kosaraju::kosaraju_scc`], sequential |
+//! | `Pearce` | (test oracle) | [`pearce::pearce_scc`], sequential |
+//! | `FwBw` | FW-BW \[13\], no Trim | `tasks` |
+//! | `Coloring` | related work \[8\], \[9\] | `trim,coloring` |
+//! | `Baseline` | Alg. 3 | `trim,tasks` |
+//! | `Method1` | Alg. 6 | `trim,fwbw,trim,tasks` |
+//! | `Method2` | Alg. 9 | `trim,fwbw,trim,trim2,trim,wcc,tasks` |
+//! | `Multistep` | Slota et al. (follow-on) | `trim,peel,trim,colortail,serial` |
 //!
-//! The one-stop entry point is [`detect_scc`] with an [`Algorithm`]
-//! selector and an [`SccConfig`]; it returns the component assignment
-//! ([`SccResult`]) and a [`instrument::RunReport`] with the per-phase
-//! timings/counters behind the paper's Figures 7 and 8 and the §3.3 task
-//! log.
-//!
-//! The five parallel algorithms are declarative stage lists executed by
-//! the [`pipeline`] engine; [`run_pipeline`] also runs any legal custom
-//! composition (the CLI's `--pipeline` flag) with the same per-phase
-//! breakdown.
+//! The entry points are [`detect_scc`] and its cancellable form
+//! [`run_checked`], taking an [`Algorithm`] and an [`SccConfig`]; they
+//! return the component assignment ([`SccResult`]) and a
+//! [`instrument::RunReport`] with the per-phase timings/counters behind
+//! the paper's Figures 7 and 8 and the §3.3 task log. [`run_pipeline`]
+//! runs any legal custom composition (the CLI's `--pipeline` flag) with
+//! the same per-phase breakdown.
 //!
 //! ## Quick start
 //!
@@ -43,20 +47,14 @@
 //! assert_eq!(result.largest_component_size(), 3);
 //! ```
 
-pub mod baseline;
-pub mod coloring;
 pub mod config;
 mod driver;
 pub mod error;
 pub mod fwbw;
-pub mod fwbw_only;
 pub mod incremental;
 pub mod instrument;
 pub mod kosaraju;
-pub mod method1;
-pub mod method2;
 pub mod multireach;
-pub mod multistep;
 pub mod pearce;
 pub mod pipeline;
 pub mod result;
@@ -148,30 +146,27 @@ impl Algorithm {
 }
 
 /// Runs the selected SCC algorithm on `g` and returns the component
-/// assignment plus the instrumentation report.
+/// assignment plus the instrumentation report: [`run_checked`] under a
+/// fresh [`RunGuard`].
+///
+/// # Panics
+///
+/// Panics if the run ends in a typed [`SccError`] even without a
+/// deadline or a cancel: a worker panic under [`PanicPolicy::Fail`] or a
+/// watchdog trip.
 pub fn detect_scc(g: &CsrGraph, algo: Algorithm, cfg: &SccConfig) -> (SccResult, RunReport) {
-    match algo {
-        Algorithm::Tarjan => instrument::timed_sequential(|| tarjan::tarjan_scc(g)),
-        Algorithm::Kosaraju => instrument::timed_sequential(|| kosaraju::kosaraju_scc(g)),
-        Algorithm::Pearce => instrument::timed_sequential(|| pearce::pearce_scc(g)),
-        Algorithm::FwBw => fwbw_only::fwbw_scc(g, cfg),
-        Algorithm::Coloring => coloring::coloring_scc(g, cfg),
-        Algorithm::Baseline => baseline::baseline_scc(g, cfg),
-        Algorithm::Method1 => method1::method1_scc(g, cfg),
-        Algorithm::Method2 => method2::method2_scc(g, cfg),
-        Algorithm::Multistep => multistep::multistep_scc(g, cfg),
-    }
+    run_checked(g, algo, cfg, &RunGuard::new())
+        .unwrap_or_else(|e| panic!("{} run failed: {e}", algo.name()))
 }
 
 /// Fault-tolerant entry point: runs the selected algorithm under `guard`
 /// (cooperative cancellation + optional deadline) with panic recovery per
 /// [`SccConfig::on_panic`] and watchdog-bounded fixpoint loops.
 ///
-/// The five parallel algorithms dispatch through the [`pipeline`]
-/// engine's stock stage-list table ([`Pipeline::stock`]); the engine
-/// polls the guard at stage/round granularity and returns a typed
-/// [`SccError`] on abort. The sequential oracles and the demo FW-BW run
-/// outside the engine and cannot be interrupted mid-run; for those the
+/// The six parallel algorithms run their stock stage list
+/// ([`Pipeline::stock`]) through [`run_pipeline`], which polls the guard
+/// at stage/round granularity and returns a typed [`SccError`] on abort.
+/// The sequential oracles cannot be interrupted mid-run; for those the
 /// guard is honoured once at entry.
 #[must_use = "dropping the result discards both the SCC partition and the run's error/recovery record"]
 pub fn run_checked(
@@ -180,15 +175,15 @@ pub fn run_checked(
     cfg: &SccConfig,
     guard: &RunGuard,
 ) -> Result<(SccResult, RunReport), SccError> {
-    match Pipeline::stock(algo) {
-        Some(pipeline) => run_pipeline(g, &pipeline, cfg, guard),
-        None => {
-            // engine: the sequential oracles and the demo FW-BW have no
-            // stage structure to pipeline — the guard is polled exactly
-            // once at entry, the documented best effort for algorithms
-            // that cannot be interrupted mid-run.
-            driver::check_guard(guard)?;
-            Ok(detect_scc(g, algo, cfg))
+    let oracle: fn(&CsrGraph) -> SccResult = match algo {
+        Algorithm::Tarjan => tarjan::tarjan_scc,
+        Algorithm::Kosaraju => kosaraju::kosaraju_scc,
+        Algorithm::Pearce => pearce::pearce_scc,
+        _ => {
+            let pipeline = Pipeline::stock(algo).expect("every parallel algorithm is stocked");
+            return run_pipeline(g, &pipeline, cfg, guard);
         }
-    }
+    };
+    guard.check()?;
+    Ok(instrument::timed_sequential(|| oracle(g)))
 }

@@ -6,8 +6,8 @@
 //! (Alg. 7) spliced into the same skeleton. This module makes that
 //! composition literal: each building block is a [`PhaseKernel`], a
 //! pipeline is a validated list of [`Stage`]s, and [`run_pipeline`] is the
-//! single engine loop that owns — exactly once — everything the five
-//! drivers used to copy-paste:
+//! single engine loop that owns — exactly once — everything a parallel
+//! SCC driver needs:
 //!
 //! * [`Collector`] phase timing and Fig. 7/8 resolution attribution,
 //! * interrupt polling at stage boundaries (`driver::check_interrupt`),
@@ -20,10 +20,10 @@
 //! * work-queue spin-up (including the Par-WCC groups → initial-tasks
 //!   hand-off).
 //!
-//! The five paper algorithms are rows in the stock pipeline table
-//! ([`Pipeline::stock`]); the legacy `*_scc_checked` entry points are
-//! one-line lookups into it, and the CLI's `--pipeline` flag runs any
-//! legal custom composition with the same per-phase breakdown for free.
+//! The six parallel algorithms are rows in the stock pipeline table
+//! ([`Pipeline::stock`]), which [`crate::run_checked`] looks up, and the
+//! CLI's `--pipeline` flag runs any legal custom composition with the
+//! same per-phase breakdown for free.
 //!
 //! # Legality rules
 //!
@@ -46,14 +46,12 @@
 //! groups) run as no-ops rather than erroring: the rules reject *unsound*
 //! pipelines, not unprofitable ones.
 
-use crate::baseline::BASELINE_K;
 use crate::config::{PanicPolicy, PivotStrategy, SccConfig};
 use crate::driver;
 use crate::error::{RunGuard, SccError};
 use crate::fwbw::parallel::par_fwbw;
 use crate::fwbw::recursive::{seed_tasks, RecurContext, Task};
 use crate::instrument::{Collector, Phase, RecoveryEvent, RunReport};
-use crate::method2::METHOD2_K;
 use crate::multireach;
 use crate::result::SccResult;
 use crate::state::{AlgoState, Color, INITIAL_COLOR};
@@ -236,8 +234,17 @@ pub struct Pipeline {
     stages: Vec<Stage>,
 }
 
-/// The stock pipeline table: the five paper algorithms as stage lists.
+/// Paper default work-queue batch size for the Baseline and Method 1
+/// (§4.3).
+const BASELINE_K: usize = 1;
+
+/// Paper default work-queue batch size for Method 2 (§4.3): Par-WCC
+/// yields enough tasks for batching to pay off.
+const METHOD2_K: usize = 8;
+
+/// The stock pipeline table: the six parallel algorithms as stage lists.
 const STOCK: &[(crate::Algorithm, &[Stage])] = &[
+    (crate::Algorithm::FwBw, &[Stage::Tasks]),
     (crate::Algorithm::Baseline, &[Stage::Trim, Stage::Tasks]),
     (
         crate::Algorithm::Method1,
@@ -312,8 +319,7 @@ impl Pipeline {
     }
 
     /// The stock pipeline implementing `algo`, or `None` for the
-    /// sequential oracles and the demo FW-BW (which run outside the
-    /// engine).
+    /// sequential oracles (which run outside the engine).
     pub fn stock(algo: crate::Algorithm) -> Option<Pipeline> {
         STOCK
             .iter()
@@ -1189,8 +1195,9 @@ mod tests {
     }
 
     #[test]
-    fn stock_table_covers_the_five_drivers() {
+    fn stock_table_covers_the_parallel_algorithms() {
         for algo in [
+            Algorithm::FwBw,
             Algorithm::Baseline,
             Algorithm::Method1,
             Algorithm::Method2,
@@ -1200,12 +1207,7 @@ mod tests {
             let p = Pipeline::stock(algo).expect("stock pipeline");
             assert!(p.stages().last().unwrap().is_terminal());
         }
-        for algo in [
-            Algorithm::Tarjan,
-            Algorithm::Kosaraju,
-            Algorithm::Pearce,
-            Algorithm::FwBw,
-        ] {
+        for algo in [Algorithm::Tarjan, Algorithm::Kosaraju, Algorithm::Pearce] {
             assert!(Pipeline::stock(algo).is_none());
         }
     }

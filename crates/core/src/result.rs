@@ -117,25 +117,15 @@ impl SccResult {
 
     /// Builds the condensation: the DAG whose nodes are the SCCs of `g` and
     /// whose edges are the inter-SCC edges of `g` (deduplicated). The result
-    /// is acyclic by the definition of SCCs (tested).
+    /// is acyclic by the definition of SCCs (tested). The inter-SCC edges
+    /// stream through the [`GraphView`] neighbor decode, so the
+    /// condensation of a compressed graph is built without materializing
+    /// the raw CSR.
     ///
     /// # Panics
     ///
     /// Panics if `g` does not have the same node count as this result.
-    pub fn condensation(&self, g: &CsrGraph) -> CsrGraph {
-        self.condensation_view(g)
-    }
-
-    /// [`SccResult::condensation`] over any [`GraphView`] backend: the
-    /// inter-SCC edges stream through the zero-allocation neighbor
-    /// decode, so the condensation of a compressed graph is built
-    /// without ever materializing the raw CSR. This is the snapshot
-    /// export the `swscc-serve` daemon publishes each epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` does not have the same node count as this result.
-    pub fn condensation_view<G: GraphView>(&self, g: &G) -> CsrGraph {
+    pub fn condensation<G: GraphView>(&self, g: &G) -> CsrGraph {
         assert_eq!(g.num_nodes(), self.num_nodes(), "graph/result mismatch");
         let mut b = GraphBuilder::new(self.num_components);
         for u in g.nodes() {

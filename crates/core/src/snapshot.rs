@@ -2,10 +2,11 @@
 //! partition plus its condensation DAG, with the query surface the
 //! `swscc-serve` daemon answers from.
 //!
-//! A snapshot is built once per (re)compute — [`SccSnapshot::build`]
-//! runs a pipeline under the caller's [`RunGuard`], then materializes
-//! the condensation — and is then shared read-only behind an
-//! `swscc_sync::epoch::EpochCell`. Nothing in here mutates after
+//! A snapshot is built once per published partition —
+//! [`SccSnapshot::from_result`] materializes the condensation of an
+//! already-computed [`SccResult`] (the serve daemon publishes through
+//! [`crate::IncrementalEngine::snapshot`]) — and is then shared read-only
+//! behind an `swscc_sync::epoch::EpochCell`. Nothing in here mutates after
 //! construction, so any number of connection handlers can answer
 //! queries from one snapshot while a recompute builds the next.
 //!
@@ -16,10 +17,7 @@
 //! one node) that polls its guard every level, so a per-request deadline
 //! interrupts it mid-walk with a typed [`SccError::DeadlineExceeded`].
 
-use crate::config::SccConfig;
 use crate::error::{RunGuard, SccError};
-use crate::instrument::RunReport;
-use crate::pipeline::{run_pipeline, Pipeline};
 use crate::result::SccResult;
 use swscc_graph::bfs::Direction;
 use swscc_graph::{CsrGraph, GraphView, NodeId};
@@ -36,36 +34,11 @@ pub struct SccSnapshot {
 }
 
 impl SccSnapshot {
-    /// Runs `pipeline` on `g` under `guard` and packages the partition
-    /// with its condensation. Every failure is the pipeline's own typed
-    /// error — a failed build leaves no half-snapshot behind.
-    pub fn build<G: GraphView>(
-        g: &G,
-        pipeline: &Pipeline,
-        cfg: &SccConfig,
-        guard: &RunGuard,
-    ) -> Result<(SccSnapshot, RunReport), SccError> {
-        let (result, report) = run_pipeline(g, pipeline, cfg, guard)?;
-        // The condensation streams the adjacency once more; honour a
-        // deadline that expired during the partition run before paying
-        // that second pass.
-        guard.check()?;
-        let condensation = result.condensation_view(g);
-        Ok((
-            SccSnapshot {
-                condensation,
-                num_nodes: g.num_nodes(),
-                num_edges: g.num_edges(),
-                result,
-            },
-            report,
-        ))
-    }
-
-    /// Wraps an already-computed partition (tests, offline tooling).
+    /// Packages an already-computed partition of `g` with its
+    /// condensation.
     pub fn from_result<G: GraphView>(g: &G, result: SccResult) -> SccSnapshot {
         SccSnapshot {
-            condensation: result.condensation_view(g),
+            condensation: result.condensation(g),
             num_nodes: g.num_nodes(),
             num_edges: g.num_edges(),
             result,
@@ -165,7 +138,7 @@ impl SccSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Algorithm;
+    use crate::{run_pipeline, Algorithm, Pipeline, SccConfig};
     use std::time::Duration;
 
     /// Two 3-cycles joined by one edge, an OUT tendril, an isolated node.
@@ -186,12 +159,12 @@ mod tests {
         )
     }
 
-    fn snapshot(g: &CsrGraph) -> SccSnapshot {
+    /// Method 2 on `g` (either backend), packaged as a snapshot.
+    fn snapshot<G: GraphView>(g: &G) -> SccSnapshot {
         let pipeline = Pipeline::stock(Algorithm::Method2).unwrap();
-        let guard = RunGuard::new();
-        let (snap, _report) =
-            SccSnapshot::build(g, &pipeline, &SccConfig::with_threads(2), &guard).unwrap();
-        snap
+        let cfg = SccConfig::with_threads(2);
+        let (result, _report) = run_pipeline(g, &pipeline, &cfg, &RunGuard::new()).unwrap();
+        SccSnapshot::from_result(g, result)
     }
 
     #[test]
@@ -240,10 +213,7 @@ mod tests {
         let g = diamond();
         let z = swscc_graph::CompressedCsr::from_csr(&g);
         let raw = snapshot(&g);
-        let pipeline = Pipeline::stock(Algorithm::Method2).unwrap();
-        let guard = RunGuard::new();
-        let (zs, _) =
-            SccSnapshot::build(&z, &pipeline, &SccConfig::with_threads(2), &guard).unwrap();
+        let zs = snapshot(&z);
         assert_eq!(
             raw.result().canonical_labels(),
             zs.result().canonical_labels()

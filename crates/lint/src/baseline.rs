@@ -5,7 +5,7 @@
 //!
 //! 1. **No silent rot.** An entry that no longer matches any finding is
 //!    *stale* and itself becomes a finding — the file must be
-//!    regenerated (`xtask lint --update-baseline`) so reviewers see the
+//!    regenerated (`swscc-lint --update-baseline`) so reviewers see the
 //!    debt shrink in the diff. An entry past its expiry date stops
 //!    suppressing and becomes a finding too.
 //! 2. **Line-drift resistance.** Entries fingerprint the *content* of
@@ -122,7 +122,7 @@ impl Baseline {
                     line: 0,
                     message: format!(
                         "stale baseline entry (rule `{}`, fingerprint {:016x}) no longer \
-                         matches any finding — regenerate with `cargo run -p xtask -- lint \
+                         matches any finding — regenerate with `cargo run -p swscc-lint -- \
                          --update-baseline` so the recorded debt shrinks in review",
                         e.rule, e.fingerprint
                     ),
@@ -149,7 +149,7 @@ impl Baseline {
         let mut out = String::from(
             "# swscc-lint suppression baseline.\n\
              # One deferred finding per line; regenerate with:\n\
-             #   cargo run -p xtask -- lint --update-baseline\n\
+             #   cargo run -p swscc-lint -- --update-baseline\n\
              # Every entry needs a real reason and an expiry — expired or\n\
              # stale entries turn back into findings (see DESIGN.md §13).\n",
         );

@@ -10,7 +10,7 @@ use crate::source::SourceFile;
 /// One diagnostic: a rule firing at a file:line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (stable identifier; `xtask lint --rule <name>`).
+    /// Rule name (stable identifier; `swscc-lint --rule <name>`).
     pub rule: &'static str,
     /// Workspace-relative `/`-separated path.
     pub file: String,
@@ -74,7 +74,6 @@ impl Default for Config {
         let inventory_exempt = vec![
             "crates/sync/".to_string(),
             "crates/lint/".to_string(),
-            "crates/xtask/".to_string(),
             "crates/compat/".to_string(),
         ];
         let safety_tag_exempt = vec!["crates/lint/".to_string(), "crates/compat/".to_string()];
@@ -130,10 +129,10 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Walks `root` for `.rs` files (skipping `target`, dot-dirs, and
-    /// `crates/lint/fixtures` — the known-bad corpus must not flag the
-    /// tree that carries it), lexes each, and loads the DESIGN.md
-    /// inventory block if present.
+    /// Walks `root` for `.rs` files (skipping `target`, dot-dirs, nested
+    /// Cargo workspaces, and `crates/lint/fixtures` — the known-bad corpus
+    /// must not flag the tree that carries it), lexes each, and loads the
+    /// DESIGN.md inventory block if present.
     pub fn load(root: &Path, mut config: Config) -> Workspace {
         let mut paths = Vec::new();
         collect_rs_files(root, root, &mut paths);
@@ -169,7 +168,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            if name == "target" || name.starts_with('.') || is_own_workspace(&path) {
                 continue;
             }
             let rel = rel_str(root, &path);
@@ -181,6 +180,14 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) {
             out.push((path.clone(), rel_str(root, &path)));
         }
     }
+}
+
+/// Whether `dir` holds a `Cargo.toml` with its own `[workspace]` table:
+/// a separate Cargo workspace (built against this one by path) that this
+/// workspace's builds, `--cfg model` included, never compile.
+fn is_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 fn rel_str(root: &Path, path: &Path) -> String {
@@ -256,5 +263,36 @@ pub fn run(ws: &Workspace, rule_filter: Option<&str>, baseline: &Baseline) -> Re
         findings,
         suppressed,
         files_scanned: ws.files.len(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn walk_skips_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("swscc-lint-walk-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n");
+        write("member/Cargo.toml", "[package]\nname = \"member\"\n");
+        write("member/src/lib.rs", "");
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
+        );
+        write("bench/src/main.rs", "");
+        write("src/lib.rs", "");
+
+        let mut paths = Vec::new();
+        collect_rs_files(&root, &root, &mut paths);
+        let mut rels: Vec<String> = paths.into_iter().map(|(_, rel)| rel).collect();
+        rels.sort();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(rels, ["member/src/lib.rs", "src/lib.rs"]);
     }
 }

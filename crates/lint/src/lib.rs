@@ -11,7 +11,7 @@
 //! [`engine::Rule`] catalog ([`rules`]), text/JSON reporters
 //! ([`report`]), and a suppression [`baseline`] with expiry.
 //!
-//! Entry point: `cargo run -p xtask -- lint` (see [`run_lint`]).
+//! Entry point: `cargo run -p swscc-lint --` (see [`run_lint`]).
 //! Rule catalog and conventions: DESIGN.md §13.
 
 pub mod baseline;

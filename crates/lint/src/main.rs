@@ -1,15 +1,13 @@
-//! Workspace task runner. The one subcommand is the static-analysis
-//! gate:
+//! The static-analysis gate:
 //!
 //! ```text
-//! cargo run -p xtask -- lint [--rule <name>] [--json]
+//! cargo run -p swscc-lint -- [--rule <name>] [--json]
 //!                            [--update-baseline] [--update-inventory]
 //!                            [--list-rules]
-//! cargo run -p xtask -- audit          # thin alias for `lint`
 //! ```
 //!
-//! The engine itself lives in `crates/lint` (`swscc-lint`): a token-aware
-//! lexer + item-level parser and a rule catalog covering facade
+//! The engine is this crate's library: a token-aware lexer + item-level
+//! parser and a rule catalog covering facade
 //! discipline, `Relaxed`/`unsafe`/recovery justifications, engine-only
 //! recovery, decode-path allocation, the DESIGN.md §8 atomic inventory,
 //! SAFETY invariant tags, GraphView backend discipline, static pipeline
@@ -23,28 +21,11 @@ use std::process::ExitCode;
 
 use swscc_lint::{run_lint, LintOptions};
 
-const USAGE: &str = "usage: cargo run -p xtask -- lint \
+const USAGE: &str = "usage: cargo run -p swscc-lint -- \
                      [--rule <name>] [--json] [--update-baseline] \
-                     [--update-inventory] [--list-rules]\n\
-                     (`audit` is an alias for `lint`)";
+                     [--update-inventory] [--list-rules]";
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") | Some("audit") => lint(args),
-        Some(other) => {
-            eprintln!("unknown xtask subcommand `{other}` (available: lint, audit)");
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-        None => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn lint(args: impl Iterator<Item = String>) -> ExitCode {
     let mut opts = LintOptions {
         root: workspace_root(),
         rule: None,
@@ -52,7 +33,7 @@ fn lint(args: impl Iterator<Item = String>) -> ExitCode {
         update_baseline: false,
         update_inventory: false,
     };
-    let mut args = args.peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--rule" => match args.next() {
@@ -103,8 +84,7 @@ fn lint(args: impl Iterator<Item = String>) -> ExitCode {
 }
 
 fn workspace_root() -> PathBuf {
-    // xtask always runs via `cargo run -p xtask`, so CARGO_MANIFEST_DIR is
-    // <root>/crates/xtask.
+    // CARGO_MANIFEST_DIR is <root>/crates/lint.
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();
     p.pop();

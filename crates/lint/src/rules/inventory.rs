@@ -13,7 +13,7 @@
 //! <!-- lint:atomic-inventory:end -->
 //! ```
 //!
-//! Regenerate with `cargo run -p xtask -- lint --update-inventory`.
+//! Regenerate with `cargo run -p swscc-lint -- --update-inventory`.
 
 use std::collections::BTreeSet;
 
@@ -186,7 +186,7 @@ impl Rule for AtomicInventory {
                 message: format!(
                     "no generated atomic-inventory block found (expected between \
                      `{BEGIN_MARKER}` and `{END_MARKER}` in §8); add the markers and run \
-                     `cargo run -p xtask -- lint --update-inventory`"
+                     `cargo run -p swscc-lint -- --update-inventory`"
                 ),
                 anchor: "missing-inventory-block".to_string(),
             });
@@ -202,7 +202,7 @@ impl Rule for AtomicInventory {
                 line: 0,
                 message: format!(
                     "atomic inventory drift — code has `{missing}` but DESIGN.md §8 doesn't; \
-                     run `cargo run -p xtask -- lint --update-inventory` and document the \
+                     run `cargo run -p swscc-lint -- --update-inventory` and document the \
                      new protocol in the §8 table"
                 ),
                 anchor: (*missing).to_string(),
@@ -215,7 +215,7 @@ impl Rule for AtomicInventory {
                 line: 0,
                 message: format!(
                     "atomic inventory drift — DESIGN.md §8 documents `{gone}` but the code \
-                     no longer matches; run `cargo run -p xtask -- lint --update-inventory`"
+                     no longer matches; run `cargo run -p swscc-lint -- --update-inventory`"
                 ),
                 anchor: (*gone).to_string(),
             });

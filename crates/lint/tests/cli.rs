@@ -1,15 +1,15 @@
-//! End-to-end tests for the `xtask lint` CLI: the exit-code contract
-//! (0 clean, 1 findings, 2 usage), the JSON reporter, the `--rule`
-//! filter, and the `audit` alias. These run the real binary over the
-//! real workspace, so they double as the "tree lints clean" gate.
+//! End-to-end tests for the `swscc-lint` CLI: the exit-code contract
+//! (0 clean, 1 findings, 2 usage), the JSON reporter, and the `--rule`
+//! filter. These run the real binary over the real workspace, so they
+//! double as the "tree lints clean" gate.
 
 use std::process::{Command, Output};
 
-fn xtask(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_xtask"))
+fn lint(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_swscc-lint"))
         .args(args)
         .output()
-        .expect("spawn xtask")
+        .expect("spawn swscc-lint")
 }
 
 fn code(out: &Output) -> i32 {
@@ -18,7 +18,7 @@ fn code(out: &Output) -> i32 {
 
 #[test]
 fn lint_runs_clean_on_the_workspace() {
-    let out = xtask(&["lint"]);
+    let out = lint(&[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         code(&out),
@@ -30,15 +30,8 @@ fn lint_runs_clean_on_the_workspace() {
 }
 
 #[test]
-fn audit_is_an_alias_for_lint() {
-    let out = xtask(&["audit"]);
-    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("lint: OK"));
-}
-
-#[test]
 fn json_output_is_well_formed() {
-    let out = xtask(&["lint", "--json"]);
+    let out = lint(&["--json"]);
     assert_eq!(code(&out), 0);
     let stdout = String::from_utf8_lossy(&out.stdout);
     // Keep the parser honest without a JSON dependency: the reporter
@@ -52,7 +45,7 @@ fn json_output_is_well_formed() {
 
 #[test]
 fn rule_filter_accepts_every_cataloged_rule() {
-    let list = xtask(&["lint", "--list-rules"]);
+    let list = lint(&["--list-rules"]);
     assert_eq!(code(&list), 0);
     let names: Vec<String> = String::from_utf8_lossy(&list.stdout)
         .lines()
@@ -60,7 +53,7 @@ fn rule_filter_accepts_every_cataloged_rule() {
         .collect();
     assert!(names.len() >= 11, "rule catalog shrank: {names:?}");
     for name in &names {
-        let out = xtask(&["lint", "--rule", name]);
+        let out = lint(&["--rule", name]);
         assert_eq!(
             code(&out),
             0,
@@ -72,27 +65,20 @@ fn rule_filter_accepts_every_cataloged_rule() {
 
 #[test]
 fn unknown_rule_is_a_usage_error() {
-    let out = xtask(&["lint", "--rule", "no-such-rule"]);
+    let out = lint(&["--rule", "no-such-rule"]);
     assert_eq!(code(&out), 2);
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown rule"));
 }
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    let out = xtask(&["lint", "--frobnicate"]);
+    let out = lint(&["--frobnicate"]);
     assert_eq!(code(&out), 2);
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown lint flag"));
 }
 
 #[test]
-fn unknown_subcommand_is_a_usage_error() {
-    let out = xtask(&["deploy"]);
-    assert_eq!(code(&out), 2);
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown xtask subcommand"));
-}
-
-#[test]
 fn missing_rule_argument_is_a_usage_error() {
-    let out = xtask(&["lint", "--rule"]);
+    let out = lint(&["--rule"]);
     assert_eq!(code(&out), 2);
 }

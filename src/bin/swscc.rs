@@ -195,18 +195,33 @@ fn cmd_scc(args: &Args) -> Result<(), CliError> {
             "--pipeline and --algo are mutually exclusive; a pipeline IS the algorithm",
         ));
     }
-    let algo = match &pipeline {
-        Some(_) => None,
+    // `--algo` resolves to its stock pipeline; only the sequential
+    // oracles run outside the engine, and only on raw CSR.
+    let custom = pipeline.is_some();
+    let (label, plan) = match pipeline {
+        Some(p) => (format!("pipeline:    {p}"), Ok(p)),
         None => {
             let algo_name = args.flag_value("algo").unwrap_or("method2");
-            Some(Algorithm::from_name(algo_name).ok_or_else(|| {
+            let algo = Algorithm::from_name(algo_name).ok_or_else(|| {
                 CliError::config(format!(
                     "unknown algorithm {algo_name:?}; available: {}",
                     Algorithm::all().map(|a| a.name()).join(", ")
                 ))
-            })?)
+            })?;
+            (
+                format!("algorithm:   {algo_name}"),
+                Pipeline::stock(algo).ok_or(algo),
+            )
         }
     };
+    let compressed = args.flag_present("compressed");
+    if let (true, Err(oracle)) = (compressed, &plan) {
+        return Err(CliError::config(format!(
+            "--compressed requires a pipeline algorithm (got {:?}); \
+             the sequential oracles run on raw CSR only",
+            oracle.name()
+        )));
+    }
     let mut cfg = SccConfig::with_threads(
         args.parsed_flag(
             "threads",
@@ -261,50 +276,23 @@ fn cmd_scc(args: &Args) -> Result<(), CliError> {
 
     let g = load_input(input, scale, seed)?;
     eprintln!("loaded: {} nodes, {} edges", g.num_nodes(), g.num_edges());
-    let (r, report) = if args.flag_present("compressed") {
-        // Compressed backend: every engine stage runs on the byte-delta
-        // representation through the GraphView seam; only the pipeline
-        // path supports it (the sequential oracles index raw CSR slices).
-        let p = match (&pipeline, algo) {
-            (Some(p), _) => {
-                println!("pipeline:    {p} (compressed)");
-                p.clone()
-            }
-            (None, Some(algo)) => {
-                let p = Pipeline::stock(algo).ok_or_else(|| {
-                    CliError::config(format!(
-                        "--compressed requires a pipeline algorithm (got {:?}); \
-                         the sequential oracles run on raw CSR only",
-                        algo.name()
-                    ))
-                })?;
-                println!("algorithm:   {} (compressed)", algo.name());
-                p
-            }
-            (None, None) => unreachable!("algo resolved whenever --pipeline is absent"),
-        };
-        let z = CompressedCsr::from_csr(&g);
-        eprintln!("{}", z.memory_footprint());
-        run_pipeline(&z, &p, &cfg, &guard)?
-    } else {
-        match (&pipeline, algo) {
-            (Some(p), _) => {
-                let out = run_pipeline(&g, p, &cfg, &guard)?;
-                println!("pipeline:    {p}");
-                out
-            }
-            (None, Some(algo)) => {
-                let out = run_checked(&g, algo, &cfg, &guard)?;
-                println!("algorithm:   {}", algo.name());
-                out
-            }
-            (None, None) => unreachable!("algo resolved whenever --pipeline is absent"),
+    let (r, report) = match &plan {
+        Ok(p) if compressed => {
+            // Every engine stage runs on the byte-delta representation
+            // through the GraphView seam.
+            let z = CompressedCsr::from_csr(&g);
+            eprintln!("{}", z.memory_footprint());
+            run_pipeline(&z, p, &cfg, &guard)?
         }
+        Ok(p) => run_pipeline(&g, p, &cfg, &guard)?,
+        Err(oracle) => run_checked(&g, *oracle, &cfg, &guard)?,
     };
+    let backend = if compressed { " (compressed)" } else { "" };
+    println!("{label}{backend}");
     println!("components:  {}", r.num_components());
     println!("largest scc: {}", r.largest_component_size());
     println!("trivial:     {}", r.num_trivial());
-    if pipeline.is_some() {
+    if custom {
         // Fig. 7/8-style per-phase breakdown: time + resolved counts.
         print!("{report}");
     } else {

@@ -115,6 +115,7 @@ fn cancel_mid_pipeline(spec: &str, site: &'static str, threads: usize) {
 #[test]
 fn cancel_unblocks_every_driver() {
     for threads in [1, 2, 4] {
+        cancel_mid_run(Algorithm::FwBw, "recur-task", threads);
         cancel_mid_run(Algorithm::Baseline, "trim-round", threads);
         cancel_mid_run(Algorithm::Method1, "fwbw-superstep", threads);
         cancel_mid_run(Algorithm::Method2, "wcc-round", threads);
@@ -142,6 +143,7 @@ fn expired_deadline_rejects_before_work() {
     let g = test_graph();
     let cfg = SccConfig::with_threads(2);
     for &algo in &[
+        Algorithm::FwBw,
         Algorithm::Baseline,
         Algorithm::Method1,
         Algorithm::Method2,

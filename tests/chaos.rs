@@ -81,6 +81,10 @@ const DRIVERS: &[(Driver, &[&str])] = &[
         &["trim-round", "fwbw-superstep", "coloring-round"],
     ),
     (
+        Driver::Algo(Algorithm::FwBw),
+        &["workqueue-task", "recur-task"],
+    ),
+    (
         Driver::Custom("trim,fwbw,trim,multisearch"),
         &["trim-round", "fwbw-superstep", "multisearch-round"],
     ),
@@ -114,6 +118,26 @@ fn graph_pool() -> Vec<(&'static str, CsrGraph, Vec<u32>)> {
         edges.push((2, t + 20)); // OUT tendrils
     }
     pool.push(("bowtie", CsrGraph::from_edges(130, &edges)));
+
+    // Chain of 3-cycles bridged one to the next, numbered so ids fall
+    // away from the chain's smallest id: WCC label propagation needs
+    // several rounds to carry the minimum label along the residue, so
+    // every `nth` the derivation draws can land inside Par-WCC (on the
+    // other graphs it converges in at most two rounds).
+    let k = 20u32;
+    let id = |c: u32, j: u32| if c == 0 { j } else { 3 * (k - c) + j };
+    let mut chain = Vec::new();
+    for c in 0..k {
+        chain.extend([
+            (id(c, 0), id(c, 1)),
+            (id(c, 1), id(c, 2)),
+            (id(c, 2), id(c, 0)),
+        ]);
+        if c + 1 < k {
+            chain.push((id(c, 2), id(c + 1, 0)));
+        }
+    }
+    pool.push(("cycle-chain", CsrGraph::from_edges(3 * k as usize, &chain)));
 
     pool.push(("er-sparse", erdos_renyi(150, 250, 7)));
     pool.push(("er-dense", erdos_renyi(120, 700, 11)));

@@ -1,14 +1,16 @@
 //! End-to-end pipeline tests: condensation, membership queries, reports,
-//! and the engine composition battery (`composition_*`) — every stock
-//! stage list plus a set of legal custom compositions must produce the
-//! Tarjan partition on every corpus graph at 1/2/4 threads, and illegal
-//! compositions must be rejected up front.
+//! the stock algorithms' correctness table and phase attribution
+//! (`stock_*`), and the engine composition battery (`composition_*`) —
+//! every stock stage list plus a set of legal custom compositions must
+//! produce the Tarjan partition on every corpus graph at 1/2/4 threads,
+//! and illegal compositions must be rejected up front.
 
 use swscc::core::instrument::Phase;
 use swscc::graph::datasets::Dataset;
 use swscc::graph::gen::{bowtie, erdos_renyi, watts_strogatz, BowtieConfig};
 use swscc::{
-    detect_scc, run_pipeline, Algorithm, CsrGraph, Pipeline, PipelineError, RunGuard, SccConfig,
+    detect_scc, run_pipeline, Algorithm, CsrGraph, Pipeline, PipelineError, PivotStrategy,
+    RunGuard, SccConfig,
 };
 
 fn kahn_is_acyclic(dag: &CsrGraph) -> bool {
@@ -155,6 +157,378 @@ fn algorithm_names_round_trip() {
         assert_eq!(Algorithm::from_name(a.name()), Some(a));
     }
     assert_eq!(Algorithm::from_name("bogus"), None);
+}
+
+// ---------------------------------------------------------------------------
+// Stock algorithms: correctness table and phase attribution (`stock_*`)
+// ---------------------------------------------------------------------------
+
+/// Every algorithm that runs as a stock pipeline.
+const STOCK_ALGORITHMS: [Algorithm; 6] = [
+    Algorithm::FwBw,
+    Algorithm::Coloring,
+    Algorithm::Baseline,
+    Algorithm::Method1,
+    Algorithm::Method2,
+    Algorithm::Multistep,
+];
+
+/// Hand-built shapes: the empty graph, a self-loop, cycles chained by
+/// bridges, a bowtie with a satellite pair, a small-world hub with
+/// satellites, pairs, and tendrils.
+fn small_shapes() -> Vec<CsrGraph> {
+    vec![
+        CsrGraph::from_edges(0, &[]),
+        CsrGraph::from_edges(1, &[(0, 0)]),
+        CsrGraph::from_edges(3, &[(0, 1), (1, 0), (2, 2)]),
+        CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (4, 5)]),
+        // two 3-cycles joined by a bridge, plus an OUT node
+        CsrGraph::from_edges(
+            7,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 3),
+                (5, 6),
+            ],
+        ),
+        // two 3-cycles joined by a bridge, plus a disconnected pair
+        CsrGraph::from_edges(
+            8,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (3, 4),
+                (4, 5),
+                (5, 3),
+                (2, 3),
+                (6, 7),
+            ],
+        ),
+        // chain of 2-cycles: (0,1) -> (2,3) -> (4,5)
+        CsrGraph::from_edges(
+            6,
+            &[
+                (0, 1),
+                (1, 0),
+                (1, 2),
+                (2, 3),
+                (3, 2),
+                (3, 4),
+                (4, 5),
+                (5, 4),
+            ],
+        ),
+        // giant 5-cycle, IN node, OUT node, 2-cycle satellite
+        CsrGraph::from_edges(
+            9,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 0),
+                (5, 0),
+                (4, 6),
+                (6, 7),
+                (7, 8),
+                (8, 7),
+            ],
+        ),
+        // giant 4-cycle + OUT satellite 3-cycle + OUT pair + tendrils
+        CsrGraph::from_edges(
+            12,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 0),
+                (3, 4),
+                (4, 5),
+                (5, 6),
+                (6, 4),
+                (0, 7),
+                (7, 8),
+                (8, 7),
+                (9, 0),
+                (0, 10),
+                (10, 11),
+            ],
+        ),
+        // a pair, a 3-cycle, another pair, and a dangling chain
+        CsrGraph::from_edges(
+            10,
+            &[
+                (0, 1),
+                (1, 0),
+                (2, 3),
+                (3, 4),
+                (4, 2),
+                (5, 6),
+                (6, 5),
+                (7, 8),
+                (8, 9),
+            ],
+        ),
+    ]
+}
+
+/// Uniform random multigraphs: for each `(seed, count, node bound, edge
+/// factor)` family, `count` graphs with `n < bound` nodes and fewer than
+/// `factor * n` edges.
+fn random_graphs() -> Vec<CsrGraph> {
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
+    let families: [(u64, usize, usize, usize); 6] = [
+        (41, 10, 150, 5),
+        (43, 10, 150, 5),
+        (47, 10, 150, 5),
+        (53, 8, 120, 4),
+        (79, 15, 150, 5),
+        (83, 12, 200, 4),
+    ];
+    let mut graphs = Vec::new();
+    for (seed, count, bound, factor) in families {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..count {
+            let n = rng.random_range(1..bound);
+            let m = rng.random_range(0..factor * n);
+            let edges: Vec<_> = (0..m)
+                .map(|_| (rng.random_range(0..n) as u32, rng.random_range(0..n) as u32))
+                .collect();
+            graphs.push(CsrGraph::from_edges(n, &edges));
+        }
+    }
+    graphs
+}
+
+#[test]
+fn stock_algorithms_match_tarjan() {
+    let graphs: Vec<CsrGraph> = small_shapes().into_iter().chain(random_graphs()).collect();
+    for (i, g) in graphs.iter().enumerate() {
+        let want = detect_scc(g, Algorithm::Tarjan, &SccConfig::default()).0;
+        for algo in STOCK_ALGORITHMS {
+            for threads in 1..=4 {
+                let (r, report) = detect_scc(g, algo, &SccConfig::with_threads(threads));
+                let name = algo.name();
+                assert_eq!(
+                    r.canonical_labels(),
+                    want.canonical_labels(),
+                    "{name} disagrees with tarjan on graph {i} ({threads} threads)"
+                );
+                let resolved: usize = report.phase_resolved.iter().map(|(_, n)| n).sum();
+                assert_eq!(
+                    resolved,
+                    g.num_nodes(),
+                    "{name} phase accounting must cover all nodes on graph {i}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn stock_baseline_dag_fully_trimmed() {
+    // On a DAG the trim phase must resolve everything; the recursive
+    // phase gets no work (the Patents observation, §5).
+    let g = CsrGraph::from_edges(5, &[(4, 3), (3, 2), (2, 1), (1, 0), (4, 1)]);
+    let (r, report) = detect_scc(&g, Algorithm::Baseline, &SccConfig::with_threads(2));
+    assert_eq!(r.num_components(), 5);
+    assert_eq!(report.resolved_in(Phase::ParTrim), 5);
+    assert_eq!(report.resolved_in(Phase::RecurFwbw), 0);
+    assert_eq!(report.initial_tasks, 0);
+}
+
+#[test]
+fn stock_baseline_queue_stats_populated() {
+    let g = CsrGraph::from_edges(4, &[(0, 1), (1, 0), (2, 3), (3, 2)]);
+    let (_, report) = detect_scc(&g, Algorithm::Baseline, &SccConfig::with_threads(1));
+    assert!(report.queue.tasks_executed >= 1);
+    assert_eq!(
+        report.initial_tasks, 1,
+        "one color 0 partition seeds phase 2"
+    );
+}
+
+#[test]
+fn stock_fwbw_every_node_resolved_on_dag() {
+    // Worst case for pure FW-BW: a DAG means one task per node.
+    let g = CsrGraph::from_edges(50, &(0..49u32).map(|i| (i, i + 1)).collect::<Vec<_>>());
+    let (r, report) = detect_scc(&g, Algorithm::FwBw, &SccConfig::with_threads(2));
+    assert_eq!(r.num_components(), 50);
+    assert_eq!(report.resolved_in(Phase::RecurFwbw), 50);
+    assert_eq!(report.resolved_in(Phase::ParTrim), 0, "no trim ran");
+    // every singleton cost its own task
+    assert!(report.queue.tasks_executed >= 50);
+}
+
+#[test]
+fn stock_method1_giant_scc_resolved_in_parallel_phase() {
+    // 50-cycle dominates a 100-node graph: Par-FWBW must claim it.
+    let mut edges: Vec<(u32, u32)> = (0..50u32).map(|i| (i, (i + 1) % 50)).collect();
+    for i in 50..100u32 {
+        edges.push((0, i)); // OUT tendrils
+    }
+    let g = CsrGraph::from_edges(100, &edges);
+    let (r, report) = detect_scc(&g, Algorithm::Method1, &SccConfig::with_threads(2));
+    assert_eq!(r.largest_component_size(), 50);
+    assert_eq!(report.resolved_in(Phase::ParFwbw), 50);
+    // tendrils go to the first trim
+    assert_eq!(report.resolved_in(Phase::ParTrim), 50);
+    assert!(report.fwbw_trials >= 1);
+}
+
+#[test]
+fn stock_method1_post_peel_pair_resolved() {
+    // giant {0,1,2}; IN chain 3 -> 4 -> 0 trims first; the OUT pair
+    // 5 <-> 6 survives trim and peel and is resolved in phase 2.
+    let g = CsrGraph::from_edges(
+        7,
+        &[
+            (0, 1),
+            (1, 2),
+            (2, 0),
+            (0, 5),
+            (5, 6),
+            (6, 5),
+            (3, 4),
+            (4, 0),
+        ],
+    );
+    let (r, report) = detect_scc(&g, Algorithm::Method1, &SccConfig::with_threads(2));
+    // components: giant {0,1,2}, pair {5,6}, singletons {3} and {4}
+    assert_eq!(r.num_components(), 4);
+    let mut sizes = r.component_sizes();
+    sizes.sort_unstable();
+    assert_eq!(sizes, vec![1, 1, 2, 3]);
+    let total: usize = report.phase_resolved.iter().map(|(_, n)| n).sum();
+    assert_eq!(total, 7);
+}
+
+#[test]
+fn stock_method2_wcc_splits_satellites_into_tasks() {
+    // giant 3-cycle; 8 satellite 3-cycles hanging off node 0 (OUT
+    // side). 3-cycles survive Trim and Trim2, so they must reach the
+    // WCC step, which splits them into 8 independent work items.
+    // Pivot = MaxDegreeProduct lands deterministically on hub node 0.
+    let mut edges: Vec<(u32, u32)> = vec![(0, 1), (1, 2), (2, 0)];
+    let mut next = 3u32;
+    for _ in 0..8 {
+        edges.push((0, next)); // attach
+        edges.push((next, next + 1));
+        edges.push((next + 1, next + 2));
+        edges.push((next + 2, next));
+        next += 3;
+    }
+    let g = CsrGraph::from_edges(next as usize, &edges);
+    let cfg = SccConfig {
+        pivot: PivotStrategy::MaxDegreeProduct,
+        ..SccConfig::with_threads(2)
+    };
+    let (r, report) = detect_scc(&g, Algorithm::Method2, &cfg);
+    assert_eq!(r.num_components(), 9);
+    assert_eq!(report.resolved_in(Phase::ParFwbw), 3, "peel got the giant");
+    // Each satellite 3-cycle is a separate WCC => a separate task.
+    assert_eq!(report.initial_tasks, 8);
+    assert_eq!(report.resolved_in(Phase::RecurFwbw), 24);
+}
+
+#[test]
+fn stock_method2_trim2_contributes() {
+    // Pair chain hanging off a giant cycle, plus a pendant (node 7)
+    // that makes node 0 the unambiguous degree-product pivot:
+    //   {0,1,2} cycle; 0 -> (3<->4) -> (5<->6); 0 -> 7.
+    let g = CsrGraph::from_edges(
+        8,
+        &[
+            (0, 1),
+            (1, 2),
+            (2, 0),
+            (0, 3),
+            (3, 4),
+            (4, 3),
+            (4, 5),
+            (5, 6),
+            (6, 5),
+            (0, 7),
+        ],
+    );
+    let cfg = SccConfig {
+        pivot: PivotStrategy::MaxDegreeProduct,
+        ..SccConfig::with_threads(1)
+    };
+    let (r, report) = detect_scc(&g, Algorithm::Method2, &cfg);
+    assert_eq!(r.num_components(), 4); // {0,1,2}, {3,4}, {5,6}, {7}
+    assert_eq!(
+        report.resolved_in(Phase::ParTrim),
+        1,
+        "pendant 7 trims first"
+    );
+    assert_eq!(report.resolved_in(Phase::ParFwbw), 3, "giant peeled");
+    // Both pairs fall to the Trim′ block (pattern a for {3,4} once the
+    // giant is gone; pattern b for the chain-end {5,6}).
+    assert_eq!(report.resolved_in(Phase::ParTrim2), 4);
+    assert_eq!(report.resolved_in(Phase::RecurFwbw), 0);
+}
+
+#[test]
+fn stock_method2_color_only_ablation_still_correct() {
+    let g = CsrGraph::from_edges(6, &[(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (4, 5)]);
+    let mut cfg = SccConfig::with_threads(2);
+    cfg.hybrid_sets = false;
+    let (r, _) = detect_scc(&g, Algorithm::Method2, &cfg);
+    let want = detect_scc(&g, Algorithm::Tarjan, &SccConfig::default()).0;
+    assert_eq!(r.canonical_labels(), want.canonical_labels());
+}
+
+#[test]
+fn stock_coloring_round_count_reported() {
+    // a 3-chain of 2-cycles takes multiple rounds: each round peels the
+    // classes whose roots are maximal
+    let g = CsrGraph::from_edges(
+        6,
+        &[
+            (5, 4),
+            (4, 5),
+            (4, 3),
+            (3, 2),
+            (2, 3),
+            (2, 1),
+            (1, 0),
+            (0, 1),
+        ],
+    );
+    let (r, report) = detect_scc(&g, Algorithm::Coloring, &SccConfig::with_threads(1));
+    assert_eq!(r.num_components(), 3);
+    assert!(report.fwbw_trials >= 1, "rounds = {}", report.fwbw_trials);
+}
+
+#[test]
+fn stock_coloring_dag_fully_trimmed_zero_rounds() {
+    let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+    let (r, report) = detect_scc(&g, Algorithm::Coloring, &SccConfig::with_threads(2));
+    assert_eq!(r.num_components(), 5);
+    assert_eq!(report.fwbw_trials, 0, "trim leaves nothing to color");
+}
+
+#[test]
+fn stock_multistep_giant_scc_taken_by_peel() {
+    // hub-heavy cycle so the degree-product pivot lands inside it
+    let n = 2000u32;
+    let mut edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    for i in 0..200u32 {
+        edges.push((0, n + i)); // tendrils
+    }
+    let g = CsrGraph::from_edges((n + 200) as usize, &edges);
+    let (r, report) = detect_scc(&g, Algorithm::Multistep, &SccConfig::with_threads(2));
+    assert_eq!(r.largest_component_size(), 2000);
+    assert_eq!(report.resolved_in(Phase::ParFwbw), 2000);
+    assert_eq!(report.resolved_in(Phase::ParTrim), 200);
 }
 
 // ---------------------------------------------------------------------------
